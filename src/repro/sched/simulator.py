@@ -394,19 +394,17 @@ class _StreamSource:
 
 
 class SimulatorSession:
-    """Stepwise, checkpointable twin of the batch event loop.
+    """The scheduler's event loop, one event per :meth:`step`.
 
-    One :meth:`step` processes one event (arrival/re-queue batch,
-    completion, or fault), after which the session can snapshot its
-    **entire** live state — event heaps, queue contents, per-job
-    attempt counts, accounting, the fault injector's RNG, and the
-    admission controller's breaker — and restore it later, in this
-    process or another one.  Driving a session to completion produces
-    a :class:`SimResult` bit-identical to
-    :meth:`ClusterSimulator.run` on the same inputs (enforced by the
-    equivalence matrix in ``tests/test_durable.py``): the repo's
-    usual reference-vs-fast dualism, with the batch loop as the fast
-    engine and this class as the rewindable one.
+    After any step the session can snapshot its **entire** live
+    state — event heaps, queue contents, per-job attempt counts,
+    accounting, the fault injector's RNG, and the admission
+    controller's breaker — and restore it later, in this process or
+    another one.  :meth:`ClusterSimulator.run` is this session driven
+    to completion; the fast and reference engines differ only in the
+    queue it is built on, and a session stepped, checkpointed and
+    resumed anywhere yields the same :class:`SimResult` as one driven
+    straight through (enforced in ``tests/test_durable.py``).
 
     The session satisfies the stepper protocol of
     :class:`~repro.resilience.ResilientDriver` and
@@ -432,13 +430,12 @@ class SimulatorSession:
         self,
         n_gpus: int,
         jobs: Optional[Sequence[Job]],
-        policy=None,
+        policy,
         horizon: Optional[float] = None,
         fault_injector=None,
         retry_policy=None,
         engine: str = "auto",
         admission=None,
-        queue=None,
         stream=None,
         tap=None,
     ):
@@ -456,16 +453,12 @@ class SimulatorSession:
             jobs = list(jobs)  # accept any iterable (arrival streams)
             if not jobs:
                 raise ValueError("no jobs to schedule")
-        if queue is None:
-            if policy is None:
-                raise ValueError("pass a policy (or a prebuilt queue)")
-            queue = _build_queue(policy, engine, n_gpus)
         self.n_gpus = n_gpus
         self.horizon = horizon
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         self.admission = admission
-        self.queue = queue
+        self.queue = _build_queue(policy, engine, n_gpus)
         self.tap = tap
         # bound-method cache for the hot loop: a tap that opts out of
         # a hook (``on_decision = None``) costs nothing per event
@@ -574,11 +567,10 @@ class SimulatorSession:
     def step(self) -> bool:
         """Process one event; False when the schedule is resolved.
 
-        A verbatim port of one iteration of the batch event loop —
-        same event ordering (completion beats fault beats
-        arrival/re-queue at equal times), same horizon and
-        starvation-break semantics — so a session stepped to
-        completion is bit-identical to the batch engine.
+        At equal times a completion beats a fault, which beats the
+        arrival/re-queue batch.  The loop stops at the horizon, or
+        when only fault events remain (the policy refuses to start
+        the leftover queue, so no progress is possible).
         """
         if self.done:
             self._finished = True
@@ -694,6 +686,8 @@ class SimulatorSession:
         capacity = self.n_gpus * makespan
         util = busy / capacity if makespan > 0 else 0.0
         goodput = self.useful_time / capacity if makespan > 0 else 0.0
+        # batched observability: one add per metric per run, never per
+        # event (the disabled-overhead contract of repro.obs)
         if self.done and not self._metrics_emitted:
             self._metrics_emitted = True
             _metrics.counter("sched.runs").add()
@@ -861,9 +855,6 @@ class ClusterSimulator:
             raise ValueError("need at least one GPU")
         self.n_gpus = n_gpus
 
-    def _make_queue(self, policy, engine: str):
-        return _build_queue(policy, engine, self.n_gpus)
-
     def session(
         self,
         jobs: Sequence[Job],
@@ -874,12 +865,11 @@ class ClusterSimulator:
         engine: str = "auto",
         admission=None,
     ) -> SimulatorSession:
-        """A stepwise, checkpointable run of the same event loop.
+        """The event loop of :meth:`run`, not yet advanced.
 
-        Same inputs and bit-identical results as :meth:`run`, but
-        advanced one event at a time with full
-        ``checkpoint_state``/``restore_state`` support — the entry
-        point the durable layer uses to SIGKILL and resume a
+        Same inputs as :meth:`run`, but stepped one event at a time
+        with full ``checkpoint_state``/``restore_state`` support — the
+        entry point the durable layer uses to SIGKILL and resume a
         schedule mid-flight.
         """
         return SimulatorSession(
@@ -900,9 +890,10 @@ class ClusterSimulator:
     ) -> SimResult:
         """Run the event loop until every job is resolved.
 
-        With a *fault_injector*, hard faults arrive as a Poisson
-        process (the injector's MTBF); each fault kills one running
-        job, whose work so far is wasted.  The *retry_policy*
+        This is :meth:`session` driven to completion.  With a
+        *fault_injector*, hard faults arrive as a Poisson process (the
+        injector's MTBF); each fault kills one running job, whose work
+        so far is wasted.  The *retry_policy*
         (``requeue_delay(attempt) -> delay | None``) decides whether
         and when the killed job re-enters the queue; ``None`` retries
         immediately and forever.  A job is *resolved* when it
@@ -924,65 +915,51 @@ class ClusterSimulator:
         when available, reference otherwise.
 
         With ``REPRO_OBS_VALIDATE`` set and a fast queue in play, the
-        run is validated: the reference engine replays the same jobs
-        (and, via checkpoint/restore, the same fault schedule) and the
-        two :class:`SimResult`\\ s must be bit-identical — the PR 2
-        fast-engine contract, enforced at runtime.
+        run is validated: a second session on the reference engine
+        replays the same jobs (and, via checkpoint/restore, the same
+        fault schedule) and the two :class:`SimResult`\\ s must be
+        bit-identical — the fast-engine contract, enforced at runtime.
         """
-        jobs = list(jobs)  # accept any iterable (arrival streams)
-        if not jobs:
-            raise ValueError("no jobs to schedule")
-        jobs = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
-        queue = self._make_queue(policy, engine)
-        is_fast = not isinstance(queue, _ReferenceQueue)
-        with _trace.span("sched.run", jobs=len(jobs), gpus=self.n_gpus,
+        jobs = list(jobs)  # materialized once: validation replays it
+        # snapshot before construction, which draws the first fault
+        pre = (
+            _snapshot(fault_injector, admission)
+            if _validate.validation_enabled() else None
+        )
+        session = self.session(jobs, policy, horizon, fault_injector,
+                               retry_policy, engine, admission)
+        is_fast = not isinstance(session.queue, _ReferenceQueue)
+        with _trace.span("sched.run", jobs=session.n, gpus=self.n_gpus,
                          engine="fast" if is_fast else "reference"):
-            if is_fast and _validate.validation_enabled():
+            if is_fast and pre is not None:
                 return self._run_validated(
-                    jobs, policy, horizon, fault_injector, retry_policy,
-                    queue, admission,
+                    session, jobs, policy, horizon, fault_injector,
+                    retry_policy, admission, pre,
                 )
-            return self._run_events(
-                jobs, horizon, fault_injector, retry_policy, queue,
-                admission,
-            )
+            return session.run_to_completion()
 
     def _run_validated(
-        self, jobs, policy, horizon, fault_injector, retry_policy, queue,
-        admission=None,
+        self, session, jobs, policy, horizon, fault_injector, retry_policy,
+        admission, pre,
     ) -> SimResult:
-        """Run fast, replay on the reference engine, demand equality.
+        """Run *session* fast, replay on the reference engine, demand
+        equality.
 
-        The fault injector's RNG (and the admission controller's
-        breaker state) is checkpointed before the fast run and restored
-        for the replay so both engines see the same fault schedule and
-        shed decisions; afterwards each is left in the post-fast-run
-        state, as if only the fast run had happened.
+        *pre* holds the fault injector's RNG and the admission
+        controller's state from before *session* was built; they are
+        rewound to it for the replay so both engines see the same
+        fault schedule and shed decisions, and afterwards each is left
+        in the post-fast-run state, as if only the fast run had
+        happened.
         """
-        pre = (
-            fault_injector.checkpoint_state()
-            if fault_injector is not None else None
-        )
-        pre_adm = (
-            admission.checkpoint_state() if admission is not None else None
-        )
-        fast = self._run_events(
-            jobs, horizon, fault_injector, retry_policy, queue, admission
-        )
-        if fault_injector is not None:
-            post = fault_injector.checkpoint_state()
-            fault_injector.restore_state(pre)
-        if admission is not None:
-            post_adm = admission.checkpoint_state()
-            admission.restore_state(pre_adm)
-        ref = self._run_events(
-            jobs, horizon, fault_injector, retry_policy,
-            _ReferenceQueue(policy), admission,
-        )
-        if fault_injector is not None:
-            fault_injector.restore_state(post)
-        if admission is not None:
-            admission.restore_state(post_adm)
+        fast = session.run_to_completion()
+        post = _snapshot(fault_injector, admission)
+        _restore(pre, fault_injector, admission)
+        ref = self.session(
+            jobs, policy, horizon, fault_injector, retry_policy,
+            "reference", admission,
+        ).run_to_completion()
+        _restore(post, fault_injector, admission)
         _validate.check(
             "sched.engine", fast == ref,
             f"fast {fast.makespan=} {fast.completed=} vs "
@@ -990,204 +967,13 @@ class ClusterSimulator:
         )
         return fast
 
-    def _run_events(
-        self, jobs, horizon, fault_injector, retry_policy, queue,
-        admission=None,
-    ) -> SimResult:
-        """The event loop proper, on an already-constructed queue."""
-        n = len(jobs)
-        arrivals = [(j.arrival, j.job_id, j) for j in jobs]
-        next_arrival = 0
-        #: re-queued attempts of killed jobs: (ready_time, seq, job)
-        requeues: List[Tuple[float, int, Job]] = []
-        requeue_seq = 0
-        #: (finish_time, job_id, job, start_time)
-        running: List[Tuple[float, int, Job, float]] = []
-        waits: List[float] = []
-        turnarounds: List[float] = []
-        busy_time = 0.0   # occupied GPU-time, incl. work later wasted
-        useful_time = 0.0  # service of completed jobs only
-        wasted_time = 0.0
-        t = 0.0
-        queue_series: List[Tuple[float, int]] = []
-        completions: List[Tuple[float, int]] = []
-        completed = 0
-        dropped = 0
-        shed = 0
-        failures = 0
-        retries = 0
-        started = 0
-        attempts: Dict[int, int] = {}
-        tenant_waits: Dict[str, List[float]] = {}
-        tenant_turnarounds: Dict[str, List[float]] = {}
-        tenant_completed: Dict[str, int] = {}
-        tenant_completed_service: Dict[str, float] = {}
-        tenant_shed: Dict[str, int] = {}
-        inf = float("inf")
-        next_fault = (
-            fault_injector.next_fault_after(0.0)
-            if fault_injector is not None else inf
-        )
 
-        def start_ready(now: float) -> None:
-            nonlocal started
-            while len(queue) and len(running) < self.n_gpus:
-                free = self.n_gpus - len(running)
-                batch = queue.select_starts(
-                    free, [j for _, _, j, _ in running]
-                )
-                if not batch:
-                    break
-                for job in batch:
-                    waits.append(now - job.arrival)
-                    turnarounds.append(now - job.arrival + job.service)
-                    if job.tenant is not None:
-                        tenant_waits.setdefault(job.tenant, []).append(
-                            now - job.arrival
-                        )
-                        tenant_turnarounds.setdefault(
-                            job.tenant, []
-                        ).append(now - job.arrival + job.service)
-                    heapq.heappush(
-                        running,
-                        (now + job.service, job.job_id, job, now),
-                    )
-                    started += 1
+def _snapshot(*streams) -> List[Optional[Dict]]:
+    """Checkpoint each stateful input that is present."""
+    return [None if s is None else s.checkpoint_state() for s in streams]
 
-        def enqueue(job: Job, now: float) -> bool:
-            """Admission-gated queue push; returns False when shed."""
-            nonlocal shed
-            if admission is not None and not admission.admit(
-                job, now=now, queue_len=len(queue),
-                n_running=len(running), n_gpus=self.n_gpus,
-            ):
-                shed += 1
-                if job.tenant is not None:
-                    tenant_shed[job.tenant] = (
-                        tenant_shed.get(job.tenant, 0) + 1
-                    )
-                return False
-            queue.push(job)
-            return True
 
-        events = 0
-        while completed + dropped + shed < n:
-            events += 1
-            # next event: arrival, re-queue, completion, or fault
-            t_arr = (
-                arrivals[next_arrival][0]
-                if next_arrival < len(arrivals) else inf
-            )
-            t_req = requeues[0][0] if requeues else inf
-            t_fin = running[0][0] if running else inf
-            t_fault = next_fault if fault_injector is not None else inf
-            t_work = min(t_arr, t_req, t_fin)
-            if t_work == inf:
-                # Only fault events (or nothing) remain: the policy is
-                # refusing to start the leftover queue, so no further
-                # progress is possible.
-                break
-            t_next = min(t_work, t_fault)
-            if horizon is not None and t_next > horizon:
-                t = horizon
-                break
-            t = t_next
-            if t_fin <= t_next and running:
-                finish, _, job, start = heapq.heappop(running)
-                completed += 1
-                completions.append((t, job.job_id))
-                busy_time += finish - start
-                useful_time += job.service
-                if job.tenant is not None:
-                    tenant_completed[job.tenant] = (
-                        tenant_completed.get(job.tenant, 0) + 1
-                    )
-                    tenant_completed_service[job.tenant] = (
-                        tenant_completed_service.get(job.tenant, 0.0)
-                        + job.service
-                    )
-                if admission is not None:
-                    admission.record_success(t, job=job)
-            elif t_fault <= t_next and fault_injector is not None:
-                next_fault = fault_injector.next_fault_after(t)
-                if running:
-                    victim = fault_injector.pick_victim(len(running))
-                    _, job_id, job, start = running.pop(victim)
-                    heapq.heapify(running)
-                    failures += 1
-                    lost = t - start
-                    busy_time += lost
-                    wasted_time += lost
-                    if admission is not None:
-                        admission.record_failure(t, job=job)
-                    attempt = attempts.get(job_id, 0) + 1
-                    attempts[job_id] = attempt
-                    delay = (
-                        0.0 if retry_policy is None
-                        else retry_policy.requeue_delay(attempt)
-                    )
-                    if delay is None:
-                        dropped += 1
-                    else:
-                        retries += 1
-                        requeue_seq += 1
-                        heapq.heappush(requeues, (
-                            t + delay, requeue_seq,
-                            replace(job, arrival=t + delay),
-                        ))
-            else:
-                while (
-                    next_arrival < len(arrivals)
-                    and arrivals[next_arrival][0] <= t
-                ):
-                    enqueue(arrivals[next_arrival][2], t)
-                    next_arrival += 1
-                while requeues and requeues[0][0] <= t:
-                    enqueue(heapq.heappop(requeues)[2], t)
-            start_ready(t)
-            queue_series.append((t, len(queue)))
-
-        makespan = t
-        # attempts still on a GPU delivered occupancy up to the clock stop
-        for finish, _, job, start in running:
-            busy_time += max(0.0, min(finish, makespan) - start)
-        capacity = self.n_gpus * makespan
-        util = busy_time / capacity if makespan > 0 else 0.0
-        goodput = useful_time / capacity if makespan > 0 else 0.0
-        # batched observability: one add per metric per run, never
-        # per event (the disabled-overhead contract of repro.obs)
-        _metrics.counter("sched.runs").add()
-        _metrics.counter("sched.events_processed").add(events)
-        _metrics.counter("sched.jobs_started").add(started)
-        _metrics.counter("sched.jobs_completed").add(completed)
-        if failures:
-            _metrics.counter("sched.faults_injected").add(failures)
-        if shed:
-            _metrics.counter("sched.jobs_shed").add(shed)
-        return SimResult(
-            makespan=makespan,
-            utilization=min(util, 1.0),
-            mean_wait=float(np.mean(waits)) if waits else 0.0,
-            max_wait=float(np.max(waits)) if waits else 0.0,
-            mean_turnaround=(
-                float(np.mean(turnarounds)) if turnarounds else 0.0
-            ),
-            completed=completed,
-            started=started,
-            in_flight=len(running),
-            failures=failures,
-            retries=retries,
-            dropped=dropped,
-            shed=shed,
-            wasted_time=wasted_time,
-            goodput=min(goodput, 1.0),
-            queue_series=queue_series,
-            waits=waits,
-            turnarounds=turnarounds,
-            completions=completions,
-            tenant_waits=tenant_waits,
-            tenant_turnarounds=tenant_turnarounds,
-            tenant_completed=tenant_completed,
-            tenant_completed_service=tenant_completed_service,
-            tenant_shed=tenant_shed,
-        )
+def _restore(states: List[Optional[Dict]], *streams) -> None:
+    for stream, state in zip(streams, states):
+        if stream is not None:
+            stream.restore_state(state)

@@ -107,9 +107,11 @@ def jain_index(values: Iterable[float]) -> float:
     total = sum(xs)
     if total == 0.0:
         return 1.0
-    # normalize by the mean first: subnormal allocations square to
+    # normalize by the max first: subnormal allocations square to
     # exactly 0.0 (underflow) and huge ones square to inf, either of
-    # which breaks the ratio even though the index is scale-invariant
-    mean = total / len(xs)
-    ys = [v / mean for v in xs]
+    # which breaks the ratio even though the index is scale-invariant;
+    # the max is positive here, whereas the mean of subnormals can
+    # itself underflow to 0.0 (e.g. [0, 5e-324])
+    peak = max(xs)
+    ys = [v / peak for v in xs]
     return sum(ys) ** 2 / (len(ys) * sum(v * v for v in ys))

@@ -386,7 +386,7 @@ class TestResumableCampaign:
 
 
 # -------------------------------------------------------------------------
-# SimulatorSession: the checkpointable twin of the batch engine
+# SimulatorSession: the scheduler event loop, stepped and checkpointed
 # -------------------------------------------------------------------------
 
 
@@ -394,13 +394,14 @@ class TestSimulatorSession:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     @pytest.mark.parametrize("fault", [False, True])
     def test_session_equals_batch(self, engine, fault):
+        """Each engine's session matches a run on the reference engine."""
         from repro.resilience import FaultInjector, ImmediateRetry
         from repro.sched import ClusterSimulator, SjfWithQuota, batch_workload
 
         sim = ClusterSimulator(8)
         jobs = batch_workload(n_jobs=200, seed=3)
 
-        def kw():
+        def kw(engine):
             return dict(
                 fault_injector=(
                     FaultInjector(mtbf=80.0, seed=5) if fault else None
@@ -409,8 +410,9 @@ class TestSimulatorSession:
                 engine=engine,
             )
 
-        ref = sim.run(jobs, SjfWithQuota(8), **kw())
-        ses = sim.session(jobs, SjfWithQuota(8), **kw())
+        ref = sim.run(jobs, SjfWithQuota(8), **kw("reference"))
+        assert (ref.failures > 0) == fault
+        ses = sim.session(jobs, SjfWithQuota(8), **kw(engine))
         assert ses.run_to_completion() == ref
 
     def test_checkpoint_resume_is_bit_exact(self):

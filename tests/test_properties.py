@@ -15,6 +15,7 @@ from repro.core.kernels import KernelSpec
 from repro.md.integrators import ShakeConstraints
 from repro.md.particles import ParticleSystem, PeriodicBox
 from repro.md.potentials import LennardJones, PairProcessor
+from repro.resilience import CappedRetry, FaultInjector, ImmediateRetry
 from repro.sched.policies import Fcfs, Sjf, SjfWithQuota
 from repro.sched.simulator import ClusterSimulator, Job
 from repro.solvers.csr import CsrMatrix
@@ -104,10 +105,14 @@ class TestSchedulerProperties:
         seed=st.integers(0, 200),
         n_jobs=st.integers(1, 60),
         policy_idx=st.integers(0, 2),
+        mtbf=st.sampled_from([2.0, 10.0, 1e9]),
+        retry_idx=st.integers(0, 2),
+        engine=st.sampled_from(["fast", "reference"]),
     )
     @SETTINGS
     def test_conservation_under_random_workloads(self, seed, n_jobs,
-                                                 policy_idx):
+                                                 policy_idx, mtbf,
+                                                 retry_idx, engine):
         rng = make_rng(seed)
         jobs = [
             Job(k, arrival=float(rng.random() * 10),
@@ -115,11 +120,29 @@ class TestSchedulerProperties:
                 is_long=bool(rng.random() < 0.2))
             for k in range(n_jobs)
         ]
-        result = ClusterSimulator(4).run(jobs, self.policies[policy_idx])
-        assert result.completed == n_jobs
-        total_service = sum(j.service for j in jobs)
+        retry = (None, ImmediateRetry(), CappedRetry(1))[retry_idx]
+        result = ClusterSimulator(4).run(
+            jobs, self.policies[policy_idx],
+            fault_injector=FaultInjector(mtbf=mtbf, seed=seed),
+            retry_policy=retry, engine=engine,
+        )
+        # every job resolved; every attempt and every kill accounted
+        assert result.completed + result.dropped == n_jobs
+        assert result.started == (
+            result.completed + result.failures + result.in_flight
+        )
+        assert result.failures == result.retries + result.dropped
+        # busy GPU-time = useful + wasted
+        capacity = 4 * result.makespan
+        assert result.utilization * capacity == pytest.approx(
+            result.goodput * capacity + result.wasted_time, rel=1e-9
+        )
+        by_id = {j.job_id: j for j in jobs}
+        done_service = sum(
+            by_id[k].service for k in result.completion_order
+        )
         # capacity bound and work conservation
-        assert result.makespan >= total_service / 4 - 1e-9
+        assert result.makespan >= done_service / 4 - 1e-9
         assert result.utilization <= 1.0 + 1e-12
         assert result.mean_wait >= 0
 

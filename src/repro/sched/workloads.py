@@ -21,6 +21,18 @@ from repro.sched.simulator import Job
 from repro.util.rng import make_rng
 
 
+def lognormal_mu(mean_service: float, sigma: float,
+                 long_fraction: float) -> float:
+    """The lognormal ``mu`` of :func:`draw_services`' body: calibrated
+    so the realized mean, long tail included, is ``mean_service``.
+    Scalar per-job draws (:mod:`repro.traffic.population`) share it so
+    the two paths cannot drift apart."""
+    if not (0.0 <= long_fraction <= 1.0):
+        raise ValueError("long_fraction in [0, 1]")
+    base_mean = mean_service / (1.0 + 5.0 * long_fraction)
+    return np.log(base_mean) - sigma * sigma / 2.0
+
+
 def draw_services(rng: np.random.Generator, n: int, mean_service: float,
                   sigma: float, long_fraction: float):
     """Heavy-tailed service demands with realized mean ``mean_service``.
@@ -37,10 +49,7 @@ def draw_services(rng: np.random.Generator, n: int, mean_service: float,
 
     Returns ``(services, is_long)`` arrays of length *n*.
     """
-    if not (0.0 <= long_fraction <= 1.0):
-        raise ValueError("long_fraction in [0, 1]")
-    base_mean = mean_service / (1.0 + 5.0 * long_fraction)
-    mu = np.log(base_mean) - sigma * sigma / 2.0
+    mu = lognormal_mu(mean_service, sigma, long_fraction)
     services = rng.lognormal(mu, sigma, n)
     # the long tail: a fraction of jobs are big design evaluations
     is_long = rng.random(n) < long_fraction

@@ -11,29 +11,40 @@ any of them:
   population seed and the user id, constructed on first touch.  No
   O(n_users) state, no overlap between users (SeedSequence spawn-key
   partitioning), and bit-reproducibility regardless of how many users
-  the run actually touches.
+  the run actually touches.  The seed words are derived in blocks
+  (:func:`repro.util.rng.spawn_key_states`): the same streams, bit for
+  bit, several times cheaper to construct than one SeedSequence each.
 - **Skewed popularity.**  Job submitters follow a power-law: arrival
   *k*'s user is ``floor(n_users * u^skew)`` for a uniform draw *u*
   from the assignment stream, concentrating traffic on the heavy
-  users the way production queues see it.
+  users the way production queues see it.  The assignment stream is
+  read 256 draws at a time into a pending buffer of uids — the same
+  doubles, in the same order, as one draw per arrival; the buffer is
+  population state (:meth:`UserPopulation.reset` clears it, and a
+  checkpoint of the population would have to carry it).
 - **Per-user profiles.**  Each user gets a stable service-scale,
   priority class, deadline slack, and best-effort flag, drawn once
   from a dedicated profile stream; services then come from the user's
-  own job stream via :func:`repro.sched.workloads.draw_services`, so
+  own job stream — a lognormal body calibrated by
+  :func:`repro.sched.workloads.lognormal_mu` plus the 6x long tail,
+  the draws :func:`~repro.sched.workloads.draw_services` makes — so
   the population's realized mean service stays ``mean_service``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sched.simulator import Job
-from repro.sched.workloads import draw_services, jobs_from_arrivals
+from repro.sched.workloads import lognormal_mu
+from repro.util.rng import generator_from_state, spawn_key_states
 
 #: spawn-key namespaces: assignment stream / per-user jobs / profiles
 _NS_ASSIGN, _NS_JOBS, _NS_PROFILE = 0, 1, 2
+#: assignment draws per refill of the pending uid buffer
+_BLOCK = 256
 
 
 class UserProfile:
@@ -88,6 +99,8 @@ class UserPopulation:
             raise ValueError("deadline_slack is (lo, hi), 0 < lo <= hi")
         if not (0.0 <= best_effort_fraction <= 1.0):
             raise ValueError("best_effort_fraction in [0, 1]")
+        if not (0.0 <= long_fraction <= 1.0):
+            raise ValueError("long_fraction in [0, 1]")
         self.n_users = n_users
         self.seed = seed
         self.mean_service = mean_service
@@ -107,15 +120,27 @@ class UserPopulation:
         self._assign_rng = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(_NS_ASSIGN,))
         )
-        self._user_rngs: Dict[int, np.random.Generator] = {}
+        #: uids drawn from the assignment stream, not yet handed out
+        #: (reversed: the next one is last)
+        self._pending: List[int] = []
+        #: seed words of the pending block's first-touch users, per
+        #: namespace
+        self._fresh: Dict[int, Dict[int, np.ndarray]] = {
+            _NS_JOBS: {}, _NS_PROFILE: {},
+        }
+        #: per-user job state: (job stream, lognormal mu, profile)
+        self._job_streams: Dict[
+            int, Tuple[np.random.Generator, float, UserProfile]
+        ] = {}
         self._profiles: Dict[int, UserProfile] = {}
 
     # -- lazy per-user state -------------------------------------------
 
     def _user_stream(self, ns: int, user_id: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(ns, user_id))
-        )
+        words = self._fresh[ns].pop(user_id, None)
+        if words is None:
+            words = spawn_key_states(self.seed, ns, [user_id])[0]
+        return generator_from_state(words)
 
     def profile(self, user_id: int) -> UserProfile:
         """The stable profile of *user_id* (cached after first touch)."""
@@ -140,90 +165,85 @@ class UserPopulation:
 
     def pick_user(self) -> int:
         """Draw the next submitter from the power-law popularity."""
-        u = float(self._assign_rng.random())
-        return min(int(self.n_users * u ** self.skew), self.n_users - 1)
+        if not self._pending:
+            self._refill()
+        return self._pending.pop()
+
+    def _refill(self) -> None:
+        """Read the next block of assignment draws into the pending
+        buffer and derive the seed words of its first-touch users."""
+        n, skew = self.n_users, self.skew
+        # per element in Python: numpy's ** need not round like pow()
+        uids = [min(int(n * u ** skew), n - 1)
+                for u in self._assign_rng.random(_BLOCK).tolist()]
+        distinct = list(dict.fromkeys(uids))
+        for ns, known in ((_NS_PROFILE, self._profiles),
+                          (_NS_JOBS, self._job_streams)):
+            fresh = [u for u in distinct if u not in known]
+            self._fresh[ns] = dict(
+                zip(fresh, spawn_key_states(self.seed, ns, fresh))
+            )
+        uids.reverse()
+        self._pending = uids
 
     # -- job synthesis --------------------------------------------------
+
+    def _next_job(self, job_id: int, arrival: float) -> Job:
+        """The job of the next arrival: its user from the assignment
+        stream, its service from that user's job stream (the scalar
+        twin of one ``draw_services(rng, 1, ...)`` call)."""
+        uid = self.pick_user()
+        state = self._job_streams.get(uid)
+        if state is None:
+            prof = self.profile(uid)
+            mu = lognormal_mu(self.mean_service * prof.mean_scale,
+                              self.sigma, self.long_fraction)
+            state = (self._user_stream(_NS_JOBS, uid), mu, prof)
+            self._job_streams[uid] = state
+        rng, mu, prof = state
+        service = rng.lognormal(mu, self.sigma)
+        is_long = rng.random() < self.long_fraction
+        if is_long:
+            service *= 6.0
+        return Job(
+            job_id=job_id,
+            arrival=arrival,
+            service=service,
+            is_long=is_long,
+            priority=prof.priority,
+            deadline=(
+                None if prof.best_effort
+                else arrival + prof.slack * service
+            ),
+            tenant=self.tenant,
+        )
 
     def jobs_for(self, arrivals: Sequence[float],
                  job_id_base: int = 0) -> List[Job]:
         """One :class:`Job` per arrival, drawn from per-user streams."""
-        arrivals = np.asarray(arrivals, dtype=float)
-        n = arrivals.size
-        services = np.empty(n)
-        longs = np.empty(n, dtype=bool)
-        prios = np.empty(n, dtype=int)
-        deadlines: List[Optional[float]] = []
-        for k in range(n):
-            uid = self.pick_user()
-            prof = self.profile(uid)
-            rng = self._user_rngs.get(uid)
-            if rng is None:
-                rng = self._user_stream(_NS_JOBS, uid)
-                self._user_rngs[uid] = rng
-            svc, is_long = draw_services(
-                rng, 1, self.mean_service * prof.mean_scale,
-                self.sigma, self.long_fraction,
-            )
-            services[k] = svc[0]
-            longs[k] = is_long[0]
-            prios[k] = prof.priority
-            deadlines.append(
-                None if prof.best_effort
-                else float(arrivals[k] + prof.slack * services[k])
-            )
-        return jobs_from_arrivals(
-            arrivals, services, is_long=longs, priorities=prios,
-            deadlines=deadlines, job_id_base=job_id_base,
-            tenant=self.tenant,
-        )
+        times = np.asarray(arrivals, dtype=float).tolist()
+        return [self._next_job(job_id_base + k, t)
+                for k, t in enumerate(times)]
 
-    def stream_jobs(self, times, job_id_base: int = 0):
+    def stream_jobs(self, times, job_id_base: int = 0) -> Iterator[Job]:
         """Lazy twin of :meth:`jobs_for`: one :class:`Job` per arrival
         pulled from the (possibly unbounded) *times* iterable.
 
-        Makes the identical per-arrival draws in the identical order —
-        pick_user from the assignment stream, lazy profile, one
-        ``draw_services`` pull from the user's job stream — so the
-        first ``n`` jobs are bit-exact with ``jobs_for(sample(n))`` on
-        a freshly :meth:`reset` population (the streamed-vs-
-        materialized equivalence the capture tests gate).  Never
-        materializes the job list: a horizon-bounded
+        Makes the identical per-arrival draws in the identical order,
+        so the first ``n`` jobs are bit-exact with
+        ``jobs_for(sample(n))`` on a freshly :meth:`reset` population
+        (the streamed-vs-materialized equivalence the capture tests
+        gate).  Never materializes the job list: a horizon-bounded
         :class:`~repro.sched.simulator.SimulatorSession` consumes it
         one lookahead job at a time.
         """
-        k = 0
-        for t in times:
-            arrival = float(t)
-            uid = self.pick_user()
-            prof = self.profile(uid)
-            rng = self._user_rngs.get(uid)
-            if rng is None:
-                rng = self._user_stream(_NS_JOBS, uid)
-                self._user_rngs[uid] = rng
-            svc, is_long = draw_services(
-                rng, 1, self.mean_service * prof.mean_scale,
-                self.sigma, self.long_fraction,
-            )
-            service = float(svc[0])
-            yield Job(
-                job_id=job_id_base + k,
-                arrival=arrival,
-                service=service,
-                is_long=bool(is_long[0]),
-                priority=int(prof.priority),
-                deadline=(
-                    None if prof.best_effort
-                    else float(arrival + prof.slack * service)
-                ),
-                tenant=self.tenant,
-            )
-            k += 1
+        for k, t in enumerate(times):
+            yield self._next_job(job_id_base + k, float(t))
 
     @property
     def touched_users(self) -> int:
         """Users whose job stream has been materialized so far."""
-        return len(self._user_rngs)
+        return len(self._job_streams)
 
     def describe(self) -> dict:
         """JSON-able parameter record for trace headers."""

@@ -3,6 +3,7 @@ simulated user population, trace record/replay, and the driver's
 bit-exact replay contract (shed reasons, guard counters, completion
 order) with chaos and admission shedding active."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sched.simulator import Job
+from repro.sched.workloads import draw_services
 from repro.traffic import (
     AdmissionSpec,
     ChaosSpec,
@@ -167,8 +169,157 @@ class TestUserPopulation:
             UserPopulation(deadline_slack=(3.0, 2.0))
         with pytest.raises(ValueError):
             UserPopulation(best_effort_fraction=1.5)
+        for bad in (1.5, -0.1):
+            # raised up front, before any capture writes a trace header
+            with pytest.raises(ValueError, match="long_fraction"):
+                UserPopulation(long_fraction=bad)
         with pytest.raises(ValueError):
             UserPopulation().profile(10**9)
+
+
+def _digest(jobs):
+    return hashlib.sha256(repr([
+        (j.job_id, j.arrival, j.service, j.is_long, j.priority,
+         j.deadline, j.tenant) for j in jobs
+    ]).encode()).hexdigest()[:16]
+
+
+class _Unbuffered:
+    """The population's per-arrival semantics, spelled out: one
+    assignment draw per pick, streams built by numpy, services from one
+    ``draw_services(rng, 1, ...)`` call.  Profiles come from *pop*
+    (they are pure functions of seed and user id)."""
+
+    def __init__(self, pop):
+        self.pop = pop
+        self.assign = np.random.default_rng(
+            np.random.SeedSequence(pop.seed, spawn_key=(0,)))
+        self.streams = {}
+
+    def pick_user(self):
+        n, u = self.pop.n_users, float(self.assign.random())
+        return min(int(n * u ** self.pop.skew), n - 1)
+
+    def job(self, job_id, arrival):
+        uid = self.pick_user()
+        prof = self.pop.profile(uid)
+        rng = self.streams.get(uid)
+        if rng is None:
+            rng = self.streams[uid] = np.random.default_rng(
+                np.random.SeedSequence(self.pop.seed, spawn_key=(1, uid)))
+        svc, is_long = draw_services(
+            rng, 1, self.pop.mean_service * prof.mean_scale,
+            self.pop.sigma, self.pop.long_fraction)
+        service = float(svc[0])
+        return Job(
+            job_id=job_id, arrival=float(arrival), service=service,
+            is_long=bool(is_long[0]), priority=prof.priority,
+            deadline=(None if prof.best_effort
+                      else float(arrival + prof.slack * service)),
+            tenant=self.pop.tenant,
+        )
+
+
+class TestPopulationStreams:
+    """Job synthesis reads the assignment stream in blocks and derives
+    per-user streams in blocks; neither may change a drawn bit."""
+
+    def test_streamed_jobs_pinned(self):
+        pop = UserPopulation(n_users=50_000, seed=1, mean_service=10.0,
+                             best_effort_fraction=0.3)
+        jobs = itertools.islice(
+            pop.stream_jobs(PoissonArrivals(rate=0.64).stream(1)), 9600)
+        assert _digest(jobs) == "5b0736c168f61a43"
+
+    def test_jobs_for_pinned(self):
+        pop = UserPopulation(n_users=1_000_000, seed=0)
+        jobs = pop.jobs_for(PoissonArrivals(rate=1.0).sample(2000, seed=1))
+        assert _digest(jobs) == "336fad3ff1f6a440"
+
+    def test_pileup_jobs_pinned(self):
+        from repro.tenant import multitenant_pileup
+
+        bundle = multitenant_pileup(n_gpus=8, n_compliant=3,
+                                    noisy_factor=4.0,
+                                    n_jobs_per_tenant=600, seed=1)
+        assert _digest(bundle.jobs) == "56935f12326cc6f5"
+
+    @pytest.mark.parametrize("cuts", [(100, 400), (1, 257), (255, 513)])
+    def test_chunked_equals_one_shot(self, cuts):
+        """jobs_for chunks and a partly consumed stream_jobs continue
+        one another across block boundaries."""
+        a, b = cuts
+        arrivals = PoissonArrivals(rate=1.0).sample(900, seed=2)
+        pop = UserPopulation(n_users=20_000, seed=5)
+        jobs = pop.jobs_for(arrivals[:a])
+        stream = pop.stream_jobs(iter(arrivals[a:]), job_id_base=a)
+        jobs += itertools.islice(stream, b - a)
+        jobs += pop.jobs_for(arrivals[b:], job_id_base=b)
+        assert jobs == UserPopulation(n_users=20_000, seed=5).jobs_for(
+            arrivals)
+
+    def test_interleaved_picks_match_unbuffered(self):
+        arrivals = PoissonArrivals(rate=1.0).sample(700, seed=3)
+        pop = UserPopulation(n_users=20_000, seed=6, long_fraction=0.3)
+        ref = _Unbuffered(UserPopulation(n_users=20_000, seed=6,
+                                         long_fraction=0.3))
+        picks, ref_picks = [], []
+        jobs, ref_jobs = [], []
+        for k, lo in enumerate(range(0, 700, 70)):
+            for _ in range(k):
+                picks.append(pop.pick_user())
+                ref_picks.append(ref.pick_user())
+            chunk = arrivals[lo:lo + 70]
+            if k % 2:
+                jobs += pop.jobs_for(chunk, job_id_base=lo)
+            else:
+                jobs += itertools.islice(
+                    pop.stream_jobs(iter(arrivals[lo:]), job_id_base=lo),
+                    len(chunk))
+            ref_jobs += [ref.job(lo + i, t) for i, t in enumerate(chunk)]
+        assert picks == ref_picks
+        assert jobs == ref_jobs
+
+    def test_reset_rewinds_buffer(self):
+        arrivals = PoissonArrivals(rate=1.0).sample(300, seed=4)
+        pop = UserPopulation(n_users=20_000, seed=7)
+        first = pop.jobs_for(arrivals[:40])
+        pop.jobs_for(arrivals[40:])
+        pop.pick_user()
+        pop.reset()
+        assert pop.touched_users == 0
+        assert pop.jobs_for(arrivals[:40]) == first
+
+    def test_touched_users_counts_job_streams_only(self):
+        pop = UserPopulation(n_users=1_000_000, seed=8)
+        for _ in range(600):
+            pop.pick_user()
+        assert pop.touched_users == 0
+        n = 0
+        for size in (1, 200, 333):
+            n += size
+            pop.jobs_for(PoissonArrivals(rate=1.0).sample(size, seed=n))
+            assert 0 < pop.touched_users <= n
+
+
+_GOLDEN = sorted((Path(__file__).parent / "data" / "golden").glob("*.trace"))
+
+
+class TestGoldenTraces:
+    """Traces recorded before block-derived streams: replaying them
+    regenerates the job stream from the recorded generator parameters,
+    so re-rolled per-user streams fail here."""
+
+    def test_goldens_present(self):
+        assert {p.name for p in _GOLDEN} == {
+            "mmpp.trace", "poisson.trace", "stream.trace"}
+
+    @pytest.mark.parametrize("path", _GOLDEN, ids=lambda p: p.stem)
+    def test_golden_replays(self, path, tmp_path):
+        copy = tmp_path / path.name
+        copy.write_bytes(path.read_bytes())
+        report = verify_replay(copy)
+        assert report.result.completed > 0
 
 
 class TestTrafficTrace:

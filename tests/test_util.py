@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util import Stopwatch, Table, TimerRegistry, format_seconds, format_si
-from repro.util.rng import make_rng, permutation_with_fixed_sum, spawn_rngs
+from repro.util.rng import (
+    generator_from_state,
+    make_rng,
+    permutation_with_fixed_sum,
+    spawn_key_states,
+    spawn_rngs,
+)
 
 
 class TestMakeRng:
@@ -51,6 +57,44 @@ class TestSpawnRngs:
 
     def test_zero_ok(self):
         assert spawn_rngs(0, 0) == []
+
+
+class TestSpawnKeyStates:
+    """The block derivation copies numpy's SeedSequence mixing
+    constants; these tests compare it with numpy itself, so a numpy
+    change to the mixing shows up here instead of as re-rolled user
+    streams."""
+
+    @given(
+        seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+        | st.integers(min_value=2**128, max_value=2**200),
+        ns=st.sampled_from([0, 1, 2]),
+        uids=st.lists(
+            st.sampled_from([0, 2**32 - 1])
+            | st.integers(min_value=0, max_value=2**32 - 1)
+            # two spawn-key words: the numpy fallback
+            | st.integers(min_value=2**32, max_value=2**80),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy(self, seed, ns, uids):
+        states = spawn_key_states(seed, ns, uids)
+        assert states.shape == (len(uids), 8)
+        assert states.dtype == np.uint32
+        for row, uid in zip(states, uids):
+            seq = np.random.SeedSequence(seed, spawn_key=(ns, uid))
+            assert np.array_equal(row, seq.generate_state(8))
+            assert generator_from_state(row).bit_generator.state \
+                == np.random.PCG64(seq).state
+
+    def test_non_int_seed_falls_back(self):
+        seq = np.random.SeedSequence([3, 4], spawn_key=(1, 9))
+        states = spawn_key_states([3, 4], 1, [9])
+        assert np.array_equal(states[0], seq.generate_state(8))
+
+    def test_empty_block(self):
+        assert spawn_key_states(0, 1, []).shape == (0, 8)
 
 
 class TestPermutationWithFixedSum:

@@ -4,7 +4,8 @@
   generator (the Wikipedia substitute; DESIGN.md records why shape
   statistics are what matter).
 - :mod:`repro.lda.vem` — variational-EM Latent Dirichlet Allocation:
-  per-document E-step (phi/gamma fixed point), sufficient-statistics
+  per-document E-step (phi/gamma fixed point, run batched across
+  documents with per-document convergence), sufficient-statistics
   M-step, and a tractable evidence bound for convergence checks.
 - :mod:`repro.lda.sparkplug` — the distributed driver over
   :class:`~repro.spark.engine.SparkEngine`: E-step as map_partitions,
